@@ -21,6 +21,39 @@ final case class LocalInstance(
 
   /** Δ = |S| − |T| (Corollary 4.5). */
   def delta: Int = source.length - target.length
+
+  /** One value dictionary per attribute, built on first use by the search. */
+  lazy val dicts: Array[Dictionary] = Array.tabulate(d)(new Dictionary(this, _))
+}
+
+/** Dictionary encoding of one attribute over the values of S ∪ T (Abadi et
+  * al., SIGMOD 2006). Codes follow string order, so comparing two codes
+  * compares their values; `null` has its own code, after every string.
+  * `src(i)` / `tgt(j)` is the code of the i-th source / j-th target value,
+  * and `srcDistinct` lists the codes that occur in S, ascending.
+  */
+final class Dictionary(inst: LocalInstance, attr: Int) {
+
+  val values: Array[String] = {
+    val distinct = (inst.source ++ inst.target).map(_(attr)).distinct
+    distinct.filter(_ != null).sorted ++ distinct.filter(_ == null)
+  }
+
+  private val index = new java.util.HashMap[String, Integer](2 * values.length)
+  values.indices.foreach(c => index.put(values(c), c))
+
+  /** Code of a value, or −1 when it occurs in neither snapshot. */
+  def code(v: String): Int = {
+    val c = index.get(v)
+    if (c == null) -1 else c
+  }
+
+  val src: Array[Int] = inst.source.map(r => code(r(attr)))
+  val tgt: Array[Int] = inst.target.map(r => code(r(attr)))
+
+  lazy val srcDistinct: Array[Int] = src.distinct.sorted
+
+  def size: Int = values.length
 }
 
 /** A valid explanation (Defs. 3.2–3.5) in local index space.

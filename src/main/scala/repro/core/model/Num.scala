@@ -15,19 +15,23 @@ object Num {
   /** Rounding context for division, which may be non-terminating. */
   val Ctx: MathContext = MathContext.DECIMAL64
 
-  private val NumericRe = """[+-]?\d{1,18}(\.\d{1,12})?""".r
-
-  /** Parse a plain decimal string; `None` for anything non-numeric or of
-    * pathological length (guards induction against huge tokens).
+  /** Parse a plain decimal string, `[+-]?\d{1,18}(\.\d{1,12})?` with ASCII
+    * digits after trimming; `None` for anything else, including tokens
+    * longer than 24 characters (guards induction against huge tokens).
     */
-  def parse(s: String): Option[BigDecimal] = s match {
-    case null => None
-    case _ =>
-      val t = s.trim
-      if (t.length == 0 || t.length > 24 || !NumericRe.pattern.matcher(t).matches()) None
-      else
-        try Some(BigDecimal(t))
-        catch { case _: NumberFormatException => None }
+  def parse(s: String): Option[BigDecimal] = {
+    val t = if (s == null) "" else s.trim
+    def digitsFrom(i: Int): Int = {
+      var j = i
+      while (j < t.length && t.charAt(j) >= '0' && t.charAt(j) <= '9') j += 1
+      j - i
+    }
+    val start = if (t.startsWith("+") || t.startsWith("-")) 1 else 0
+    val dot = start + digitsFrom(start) // end of the integer digits
+    val end = if (dot < t.length && t.charAt(dot) == '.') dot + 1 + digitsFrom(dot + 1) else dot
+    val ok = t.length <= 24 && end == t.length && dot - start >= 1 && dot - start <= 18 &&
+      (end == dot || end - dot - 1 >= 1 && end - dot - 1 <= 12)
+    if (ok) Some(BigDecimal(t)) else None
   }
 
   /** Canonical rendering: no trailing zeros, no exponent, `-0 → 0`. */

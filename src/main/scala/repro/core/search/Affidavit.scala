@@ -3,7 +3,7 @@ package repro.core.search
 import scala.collection.mutable
 import scala.util.Random
 
-import repro.core.blocking.{BlockingResult, LocalBlocking}
+import repro.core.blocking.{BlockingResult, Images, LocalBlocking}
 import repro.core.functions.Funcs
 import repro.core.model.{AttrFunc, Costs, Explanation, LocalInstance}
 
@@ -29,52 +29,33 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
 
   private var evaluated = 0
 
+  // This run's caches: candidate images and induced candidates are
+  // computed once per run.
+  private val images = new Images(inst)
+  private val memo = new Induction.Memo(inst.d)
+
   /** Cost of a (partial or end) state per Def. 4.6 (see DESIGN.md §3). */
   def stateCost(h: State): Double = {
     evaluated += 1
-    val blocking = LocalBlocking.block(inst, h.decided)
+    val blocking = LocalBlocking.block(images, h.decided)
     Costs.stateCost(inst.d, h.cf, blocking.ct, blocking.cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
   }
 
   /** Cost of `parent + (attr ↦ f)` computed by refining the parent's
     * blocking on the one new attribute — equivalent to a full re-blocking
     * (the refined partition equals blocking on decided ∪ {attr}) but O(N)
-    * instead of O(N·d).
+    * instead of O(N·d): inside each block, the records `f`'s image aligns
+    * stay, the rest count towards c_t and c_s.
     */
   def refinedCost(h: State, parentBlocking: BlockingResult, attr: Int, f: AttrFunc): Double = {
     evaluated += 1
+    val img = images.image(attr, f)
     var ct = 0
     var cs = 0
-    val counts = new java.util.HashMap[String, Array[Int]]()
-    val blocks = parentBlocking.blocks
-    var bi = 0
-    while (bi < blocks.length) {
-      val b = blocks(bi)
-      if (b.src.length == 0) ct += b.tgt.length
-      else if (b.tgt.length == 0) cs += b.src.length
-      else {
-        counts.clear()
-        var i = 0
-        while (i < b.src.length) {
-          val v = f(inst.source(b.src(i))(attr))
-          val c = counts.computeIfAbsent(v, _ => new Array[Int](2))
-          c(0) += 1
-          i += 1
-        }
-        var j = 0
-        while (j < b.tgt.length) {
-          val v = inst.target(b.tgt(j))(attr)
-          val c = counts.computeIfAbsent(v, _ => new Array[Int](2))
-          c(1) += 1
-          j += 1
-        }
-        val it = counts.values().iterator()
-        while (it.hasNext) {
-          val c = it.next()
-          if (c(1) > c(0)) ct += c(1) - c(0) else cs += c(0) - c(1)
-        }
-      }
-      bi += 1
+    for (b <- parentBlocking.blocks) {
+      val m = if (b.isMixed) images.matched(attr, img, b.src, b.tgt) else 0
+      ct += b.tgt.length - m
+      cs += b.src.length - m
     }
     Costs.stateCost(inst.d, h.cf + f.psi, ct, cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
   }
@@ -124,7 +105,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     * one new attribute instead of re-blocking from scratch.
     */
   def extensions(h: State): Seq[(State, Double)] = {
-    val blocking = LocalBlocking.block(inst, h.decided)
+    val blocking = LocalBlocking.block(images, h.decided)
     val rnd = new Random(cfg.seed ^ scala.util.hashing.MurmurHash3.stringHash(h.signature).toLong)
 
     // Order-By-Indeterminacy: most determined (fewest distinct in-block
@@ -147,7 +128,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       for (a <- now) {
         val g = Sampling.greedyMap(inst, alignment, a)
         val cg = refinedCost(h, blocking, a, g)
-        val candidates = Induction.induceCandidates(inst, blocking, a, cfg, rnd)
+        val candidates = Induction.induceCandidates(images, memo, blocking, a, cfg, rnd)
         var keptAny = false
         for (f <- candidates) {
           val cf = refinedCost(h, blocking, a, f)
@@ -174,7 +155,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
   def finalizeMaps(h: State, mapAttrs: Vector[Int], rnd: Random): State = {
     var cur = h
     for (a <- mapAttrs) {
-      val blocking = LocalBlocking.block(inst, cur.decided)
+      val blocking = LocalBlocking.block(images, cur.decided)
       val alignment = Sampling.randomAlignment(blocking, rnd)
       cur = cur.assign(a, Sampling.greedyMap(inst, alignment, a))
     }
@@ -199,14 +180,12 @@ object Affidavit {
     val inserted = Vector.newBuilder[Int]
     for (b <- blocking.blocks) {
       val n = math.min(b.src.length, b.tgt.length)
-      val srcSorted = b.src.sorted
-      val tgtSorted = b.tgt.sorted
       var i = 0
-      while (i < n) { alignment += ((srcSorted(i), tgtSorted(i))); i += 1 }
+      while (i < n) { alignment += ((b.src(i), b.tgt(i))); i += 1 }
       var s = n
-      while (s < srcSorted.length) { deleted += srcSorted(s); s += 1 }
+      while (s < b.src.length) { deleted += b.src(s); s += 1 }
       var t = n
-      while (t < tgtSorted.length) { inserted += tgtSorted(t); t += 1 }
+      while (t < b.tgt.length) { inserted += b.tgt(t); t += 1 }
     }
     Explanation(funcs, alignment.result(), deleted.result(), inserted.result())
   }

@@ -3,94 +3,118 @@ package repro.core.search
 import scala.collection.mutable
 import scala.util.Random
 
-import repro.core.blocking.BlockingResult
-import repro.core.model.{AttrFunc, LocalInstance}
+import repro.core.blocking.{Block, BlockingResult, Images}
+import repro.core.functions.MetaFunction
+import repro.core.model.{AttrFunc, Dictionary, LocalInstance}
 
 /** Function-candidate induction and ranking (§4.4.2, §4.4.3). */
 object Induction {
+
+  /** One search run's induction results: the verified candidates induced
+    * from each (source code, target code) example of an attribute, as ids
+    * into the attribute's table of distinct candidates (one per
+    * `describe`, the first one induced).
+    */
+  final class Memo(d: Int) {
+    private val examples = Array.fill(d)(mutable.LongMap.empty[Array[Int]])
+    private val ids = Array.fill(d)(mutable.HashMap.empty[String, Int])
+    private val funcs = Array.fill(d)(mutable.ArrayBuffer.empty[AttrFunc])
+
+    def size(attr: Int): Int = funcs(attr).size
+    def func(attr: Int, id: Int): AttrFunc = funcs(attr)(id)
+
+    def induced(dict: Dictionary, attr: Int, in: Int, out: Int, metas: List[MetaFunction]): Array[Int] = {
+      val key = (in.toLong << 32) | out
+      val hit = examples(attr).getOrNull(key)
+      if (hit != null) hit
+      else {
+        val found = metas
+          .flatMap(_.induceVerified(dict.values(in), dict.values(out)))
+          .map(f => ids(attr).getOrElseUpdate(f.describe, { funcs(attr) += f; funcs(attr).size - 1 }))
+          .toArray
+        examples(attr).update(key, found)
+        found
+      }
+    }
+  }
 
   /** Induce, significance-filter and rank candidate functions for one
     * attribute from the blocking result; returns the best `beta` candidates
     * in rank order.
     */
+  def induceCandidates(inst: LocalInstance, blocking: BlockingResult, attr: Int, cfg: AffidavitConfig, rnd: Random)
+      : List[AttrFunc] = induceCandidates(new Images(inst), new Memo(inst.d), blocking, attr, cfg, rnd)
+
+  /** `induceCandidates` with a search run's images and induction memo. */
   def induceCandidates(
-      inst: LocalInstance,
+      images: Images,
+      memo: Memo,
       blocking: BlockingResult,
       attr: Int,
       cfg: AffidavitConfig,
       rnd: Random,
   ): List[AttrFunc] = {
+    val dict = images.dicts(attr)
     val mixed = blocking.mixed
     if (mixed.isEmpty) return Nil
 
     // --- candidate generation from sampled noisy input-output examples ---
-    // Pool of (block, target record) pairs over mixed blocks.
-    val pool = mutable.ArrayBuilder.make[(Int, Int)]
-    var bi = 0
-    while (bi < mixed.length) {
-      val tgt = mixed(bi).tgt
-      var k = 0
-      while (k < tgt.length) { pool += ((bi, tgt(k))); k += 1 }
-      bi += 1
-    }
-    val targets = pool.result()
+    // Pool of (block, target record) pairs over mixed blocks, sampled as
+    // positions into the pool.
+    val blockPool = new mutable.ArrayBuilder.ofInt
+    val targetPool = new mutable.ArrayBuilder.ofInt
+    for (b <- mixed.indices; t <- mixed(b).tgt.indices) { blockPool += b; targetPool += mixed(b).tgt(t) }
+    val (blockOf, targetOf) = (blockPool.result(), targetPool.result())
     val k = cfg.inductionSampleSize
-    val sampled: Array[(Int, Int)] =
-      if (targets.length <= k) targets
-      else rnd.shuffle(targets.toVector).take(k).toArray
+    val sampled = Array.range(0, blockOf.length)
+    if (sampled.length > k) Sampling.shuffle(sampled, rnd)
+    val n = math.min(k, sampled.length)
 
-    // Distinct source values per mixed block, computed lazily and cached.
-    val srcValuesCache = mutable.HashMap.empty[Int, Array[String]]
-    def srcValues(b: Int): Array[String] =
-      srcValuesCache.getOrElseUpdate(b, {
-        val seen = mutable.LinkedHashSet.empty[String]
-        val src = mixed(b).src
-        var i = 0
-        while (i < src.length) { seen += inst.source(src(i))(attr); i += 1 }
-        val all = seen.toArray
-        if (all.length <= cfg.maxSrcValuesPerExample) all
-        else rnd.shuffle(all.toVector).take(cfg.maxSrcValuesPerExample).toArray
-      })
-
-    val counts = mutable.HashMap.empty[String, (AttrFunc, Int)]
-    val perTarget = mutable.HashSet.empty[String]
-    var si = 0
-    while (si < sampled.length) {
-      val (b, t) = sampled(si)
-      val out = inst.target(t)(attr)
-      perTarget.clear()
-      val vals = srcValues(b)
-      var vi = 0
-      while (vi < vals.length) {
-        val in = vals(vi)
-        var ms = cfg.metas
-        while (ms.nonEmpty) {
-          var fs = ms.head.induceVerified(in, out)
-          while (fs.nonEmpty) {
-            val f = fs.head
-            val key = f.describe
-            if (perTarget.add(key)) {
-              val (_, c) = counts.getOrElse(key, (f, 0))
-              counts.update(key, (f, c + 1))
-            }
-            fs = fs.tail
-          }
-          ms = ms.tail
+    // Distinct source codes per mixed block in first-occurrence order,
+    // computed lazily and cached.
+    val srcValues = new Array[Array[Int]](mixed.length)
+    val seenIn = new Array[Int](dict.size) // 1 + index of the last block that saw a code
+    def srcValuesOf(b: Int): Array[Int] = {
+      if (srcValues(b) == null) {
+        val seen = new mutable.ArrayBuilder.ofInt
+        for (i <- mixed(b).src.indices) {
+          val c = dict.src(mixed(b).src(i))
+          if (seenIn(c) != b + 1) { seenIn(c) = b + 1; seen += c }
         }
-        vi += 1
+        val all = seen.result()
+        if (all.length > cfg.maxSrcValuesPerExample) Sampling.shuffle(all, rnd)
+        srcValues(b) = all.take(cfg.maxSrcValuesPerExample)
       }
-      si += 1
+      srcValues(b)
+    }
+
+    // Per candidate id: the number of sampled targets that generated it,
+    // and the last one (1-based) that did.
+    var counts = new Array[Int](memo.size(attr) + 64)
+    var lastTarget = new Array[Int](counts.length)
+    for (si <- 0 until n) {
+      val vals = srcValuesOf(blockOf(sampled(si)))
+      val out = dict.tgt(targetOf(sampled(si)))
+      for (vi <- vals.indices) {
+        val found = memo.induced(dict, attr, vals(vi), out, cfg.metas)
+        if (memo.size(attr) > counts.length) {
+          counts = java.util.Arrays.copyOf(counts, 2 * memo.size(attr))
+          lastTarget = java.util.Arrays.copyOf(lastTarget, counts.length)
+        }
+        for (fi <- found.indices)
+          if (lastTarget(found(fi)) != si + 1) { lastTarget(found(fi)) = si + 1; counts(found(fi)) += 1 }
+      }
     }
 
     // --- significance filter (Binomial(θ) rationale, DESIGN.md §3) ---
     val threshold =
-      if (sampled.length >= k) cfg.significanceCount
-      else math.max(1, math.ceil(cfg.theta * sampled.length / 2.0).toInt)
-    val survivors = counts.valuesIterator.collect { case (f, c) if c >= threshold => f }.toArray
+      if (n >= k) cfg.significanceCount
+      else math.max(1, math.ceil(cfg.theta * n / 2.0).toInt)
+    val survivors = (0 until memo.size(attr)).filter(counts(_) >= threshold).map(memo.func(attr, _)).toArray
     if (survivors.isEmpty) return Nil
 
     // --- ranking by sampled histogram overlap minus description length ---
-    val ranked = rankByOverlap(inst, mixed, attr, survivors, cfg, rnd)
+    val ranked = rankByOverlap(images, mixed, attr, survivors, cfg, rnd)
     ranked.take(cfg.beta).toList
   }
 
@@ -101,62 +125,26 @@ object Induction {
     * final rank key is total overlap minus ψ, descending.
     */
   def rankByOverlap(
-      inst: LocalInstance,
-      mixed: Array[repro.core.blocking.Block],
+      images: Images,
+      mixed: Array[Block],
       attr: Int,
       candidates: Array[AttrFunc],
       cfg: AffidavitConfig,
       rnd: Random,
   ): Array[AttrFunc] = {
-    // Pool of (block, source record) pairs.
-    val pool = mutable.ArrayBuilder.make[Int] // encode as blockIdx (weighted by src count)
-    var bi = 0
-    while (bi < mixed.length) {
-      val n = mixed(bi).src.length
-      var i = 0
-      while (i < n) { pool += bi; i += 1 }
-      bi += 1
-    }
+    // Pool of (block, source record) pairs, as the block index repeated
+    // once per source record.
+    val pool = new mutable.ArrayBuilder.ofInt
+    for (b <- mixed.indices; _ <- mixed(b).src.indices) pool += b
     val weighted = pool.result()
     val kPrime = cfg.rankingSampleSize
-    val chosenBlocks: Array[Int] =
-      if (weighted.length <= kPrime) weighted.distinct
-      else rnd.shuffle(weighted.toVector).take(kPrime).distinct.toArray
+    if (weighted.length > kPrime) Sampling.shuffle(weighted, rnd)
+    val chosenBlocks = weighted.take(kPrime).distinct
 
+    val imgs = candidates.map(images.image(attr, _))
     val overlaps = new Array[Long](candidates.length)
-    val tgtHist = mutable.HashMap.empty[String, Int]
-    val srcHist = mutable.HashMap.empty[String, Int]
-    var ci = 0
-    var b = 0
-    while (b < chosenBlocks.length) {
-      val block = mixed(chosenBlocks(b))
-      tgtHist.clear()
-      var t = 0
-      while (t < block.tgt.length) {
-        val v = inst.target(block.tgt(t))(attr)
-        tgtHist.update(v, tgtHist.getOrElse(v, 0) + 1)
-        t += 1
-      }
-      ci = 0
-      while (ci < candidates.length) {
-        val f = candidates(ci)
-        srcHist.clear()
-        var s = 0
-        while (s < block.src.length) {
-          val v = f(inst.source(block.src(s))(attr))
-          srcHist.update(v, srcHist.getOrElse(v, 0) + 1)
-          s += 1
-        }
-        var acc = 0L
-        srcHist.foreach { case (v, c) =>
-          val tc = tgtHist.getOrElse(v, 0)
-          acc += math.min(c, tc)
-        }
-        overlaps(ci) += acc
-        ci += 1
-      }
-      b += 1
-    }
+    for (b <- chosenBlocks; ci <- candidates.indices)
+      overlaps(ci) += images.matched(attr, imgs(ci), mixed(b).src, mixed(b).tgt)
     candidates.zipWithIndex
       .sortBy { case (f, i) => (-(overlaps(i) - f.psi).toDouble, f.psi, f.describe) }
       .map(_._1)

@@ -9,12 +9,6 @@ object Slot {
   /** `∗` — the function of the attribute is still undecided. */
   case object Star extends Slot
 
-  /** `□` — the attribute has been identified as needing a value mapping;
-    * resolved at the very end of the search (only ever exists transiently
-    * inside `Extensions`/`Finalize`, never in the queue).
-    */
-  case object MapPending extends Slot
-
   /** A concrete function assignment. */
   final case class Decided(f: AttrFunc) extends Slot
 }

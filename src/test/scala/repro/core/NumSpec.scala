@@ -36,6 +36,22 @@ class NumSpec extends AnyFunSuite with PropHelpers {
     assert(Num.canon(BigDecimal("80000").bigDecimal.stripTrailingZeros) == "80000")
   }
 
+  test("property: parse accepts exactly the plain-decimal grammar") {
+    // The grammar as a regex; Java's \d means ASCII 0-9 only.
+    val grammar = """[+-]?\d{1,18}(\.\d{1,12})?""".r
+    def accepted(s: String) = {
+      val t = s.trim
+      t.nonEmpty && t.length <= 24 && grammar.pattern.matcher(t).matches()
+    }
+    val edge = Seq("-0", "+5", "1.", ".5", "1e3", "1" * 19, "0." + "1" * 13, "\u0663", " 7 ", "\t-1.5\n",
+      "1" * 18, "1" * 18 + "." + "1" * 5, "1" * 18 + "." + "1" * 6, "+-1", "1.2.3", "- 1", "", " ")
+    for (s <- edge) assert(Num.parse(s).isDefined == accepted(s), s)
+    val chars = Gen.oneOf("0123456789+-. \te\u0663".toSeq)
+    val tokens = Gen.oneOf(Gen.listOf(chars).map(_.mkString), Gen.asciiStr, Gen.numStr,
+      Gen.choose(-1e9, 1e9).map(_.toString))
+    checkProp(Prop.forAll(tokens)(s => Num.parse(s).isDefined == accepted(s)), minSuccessful = 2000)
+  }
+
   test("property: canon is a fixpoint of parse∘canon") {
     val genNum = Gen.chooseNum(-1000000L, 1000000L).flatMap { i =>
       Gen.chooseNum(0, 4).map(s => BigDecimal(i) / BigDecimal(10).pow(s))

@@ -2,14 +2,16 @@ package repro.core
 
 import scala.util.Random
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.PropHelpers
 import repro.core.blocking.LocalBlocking
 import repro.core.functions.Funcs._
 import repro.core.model.{AttrFunc, LocalInstance, RunningExample}
 import repro.core.search.{AffidavitConfig, Induction, Sampling}
 
-class SamplingInductionSpec extends AnyFunSuite {
+class SamplingInductionSpec extends AnyFunSuite with PropHelpers {
 
   private val inst = RunningExample.instance
   private val keyed = Array((0, Identity: AttrFunc)) // useless key: all distinct
@@ -20,10 +22,17 @@ class SamplingInductionSpec extends AnyFunSuite {
     val pairs = Sampling.randomAlignment(blocking, new Random(1))
     assert(pairs.nonEmpty)
     for ((s, t) <- pairs) {
-      assert(
-        LocalBlocking.indexOf(inst.source(s), decided, isSource = true) ==
-          LocalBlocking.indexOf(inst.target(t), decided, isSource = false))
+      assert(blocking.blocks.exists(b => b.src.contains(s) && b.tgt.contains(t)))
+      for ((a, f) <- decided) assert(f(inst.source(s)(a)) == inst.target(t)(a))
     }
+  }
+
+  test("property: the in-place shuffle draws exactly like Random.shuffle") {
+    checkProp(Prop.forAll(Gen.choose(0, 40), Gen.long) { (n, seed) =>
+      val a = Array.range(0, n)
+      Sampling.shuffle(a, new Random(seed))
+      a.toVector == new Random(seed).shuffle(Vector.range(0, n))
+    })
   }
 
   test("random alignment pairs min(|src|,|tgt|) records per mixed block") {
