@@ -66,8 +66,8 @@ final class Images(val inst: LocalInstance) {
   }
 }
 
-/** Driver-side blocking engine (the Spark engine in
-  * `repro.spark.SparkBlocking` is verified equivalent in tests).
+/** Driver-side blocking engine (checked against DuckDB's aggregation in
+  * tests).
   */
 object LocalBlocking {
 

@@ -148,33 +148,13 @@ object MetaFunctions {
       val s = commonSuffixLen(in, out)
       val y = in.substring(0, in.length - s)
       val z = out.substring(0, out.length - s)
-      if (s >= 1 && y.nonEmpty && y != z && z.nonEmpty) List(PrefixReplace(y, z))
-      else if (s >= 1 && y.nonEmpty && z.isEmpty) List(FrontTrimLike(y))
-      else Nil
+      if (s >= 1 && y.nonEmpty && y != z) List(PrefixReplace(y, z)) else Nil
     }
-    // Prefix *removal* as a ψ=2 replacement is representable with z = "",
-    // but Funcs.PrefixReplace requires a describable non-identity z; reuse
-    // a dedicated removal instantiation to keep semantics explicit.
-    private def FrontTrimLike(y: String): AttrFunc = PrefixRemove(y)
   }
 
-  /** `y ◦ x ↦ x`, otherwise identity — prefix replacement with z = "". */
-  final case class PrefixRemove(y: String) extends AttrFunc {
-    require(y.nonEmpty)
-    def apply(x: String): String = if (x != null && x.startsWith(y)) x.substring(y.length) else x
-    val psi = 2
-    def describe = s"prefixReplace($y->)"
-  }
-
-  /** `x ◦ y ↦ x`, otherwise identity — suffix replacement with z = "". */
-  final case class SuffixRemove(y: String) extends AttrFunc {
-    require(y.nonEmpty)
-    def apply(x: String): String =
-      if (x != null && x.endsWith(y)) x.substring(0, x.length - y.length) else x
-    val psi = 2
-    def describe = s"suffixReplace($y->)"
-  }
-
+  /** Induces from the longest common prefix, like [[PrefixReplaceMeta]];
+    * `z` may be empty (suffix removal).
+    */
   case object SuffixReplaceMeta extends MetaFunction {
     val name = "suffixReplacement"
     def induce(in: String, out: String): List[AttrFunc] = {
@@ -182,9 +162,7 @@ object MetaFunctions {
       val p = commonPrefixLen(in, out)
       val y = in.substring(p)
       val z = out.substring(p)
-      if (p >= 1 && y.nonEmpty && z.nonEmpty && y != z) List(Funcs.SuffixReplace(y, z))
-      else if (p >= 1 && y.nonEmpty && z.isEmpty) List(SuffixRemove(y))
-      else Nil
+      if (p >= 1 && y.nonEmpty && y != z) List(SuffixReplace(y, z)) else Nil
     }
   }
 

@@ -121,28 +121,16 @@ object Costs {
     explanationCost(inst.d, inst.target.length, 0, alpha)
 
   /** Cost of a partial search state — Def. 4.6 with the sign/weight typo
-    * fixed (α must weight the record term as in Def. 3.10):
+    * fixed (α must weight the record term as in Def. 3.10) and the record
+    * bound priced like `L(T^E+) = |A|·|T^E+|` (DESIGN.md §3):
     *
-    * `c(H) = 2(1−α)·c_f(H) + 2α·|A|·max(c_t, c_s − Δ)`  (scaleRecords)
+    * `c(H) = 2(1−α)·c_f(H) + 2α·|A|·max(c_t, c_s − Δ)`
     *
-    * `scaleRecords = true` prices the record lower bound like
-    * `L(T^E+) = |A|·|T^E+|`, so the cost of an end state equals the cost of
-    * its explanation and the search optimizes the same objective it is
-    * judged by. The paper's literal formula (scaleRecords = false) counts
-    * raw records; an A/B over the evaluation datasets (DESIGN.md §3) shows
-    * the literal variant under-prices unexplained records at high noise and
-    * collapses on several datasets, so the scaled variant is the default.
+    * so the cost of an end state equals the cost of its explanation and the
+    * search optimizes the same objective it is judged by.
     */
-  def stateCost(
-      d: Int,
-      cf: Int,
-      ct: Int,
-      cs: Int,
-      delta: Int,
-      alpha: Double,
-      scaleRecords: Boolean = true,
-  ): Double = {
+  def stateCost(d: Int, cf: Int, ct: Int, cs: Int, delta: Int, alpha: Double): Double = {
     val records = math.max(ct, cs - delta).max(0).toDouble
-    2 * (1 - alpha) * cf + 2 * alpha * (if (scaleRecords) d * records else records)
+    2 * (1 - alpha) * cf + 2 * alpha * (d * records)
   }
 }

@@ -38,7 +38,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
   def stateCost(h: State): Double = {
     evaluated += 1
     val blocking = LocalBlocking.block(images, h.decided)
-    Costs.stateCost(inst.d, h.cf, blocking.ct, blocking.cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
+    Costs.stateCost(inst.d, h.cf, blocking.ct, blocking.cs, inst.delta, cfg.alpha)
   }
 
   /** Cost of `parent + (attr ↦ f)` computed by refining the parent's
@@ -57,7 +57,7 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
       ct += b.tgt.length - m
       cs += b.src.length - m
     }
-    Costs.stateCost(inst.d, h.cf + f.psi, ct, cs, inst.delta, cfg.alpha, cfg.scaleRecordBound)
+    Costs.stateCost(inst.d, h.cf + f.psi, ct, cs, inst.delta, cfg.alpha)
   }
 
   /** Init-Start-States for the configured strategy. */
@@ -79,7 +79,6 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     while (queue.nonEmpty && end.isEmpty && polls < cfg.maxPolls) {
       val (h, c) = queue.poll()
       polls += 1
-      cfg.trace(f"poll #$polls%3d level=${h.level}%3d cost=$c%12.1f  [${h.signature.take(160)}]")
       if (h.isEnd) end = Some((h, c))
       else extensions(h).foreach { case (e, ec) => queue.offer(e, ec) }
     }
@@ -87,7 +86,11 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
     end match {
       case Some((h, c)) =>
         val e = Affidavit.toExplanation(inst, h)
-        AffidavitResult(e, Costs.explanationCost(inst, e, cfg.alpha), polls, evaluated)
+        val cost = Costs.explanationCost(inst, e, cfg.alpha)
+        // At an end state Σ(s−t) = Δ, so c_s − Δ = c_t = |T⁺|: the state
+        // cost is the explanation cost (DESIGN.md §3).
+        require(c == cost, s"end-state cost $c != explanation cost $cost")
+        AffidavitResult(e, cost, polls, evaluated)
       case None =>
         // Queue exhausted / poll budget hit: fall back to the trivial
         // explanation E∅, which is valid for every instance (§3.1).
@@ -132,8 +135,6 @@ final class Affidavit(inst: LocalInstance, cfg: AffidavitConfig) {
         var keptAny = false
         for (f <- candidates) {
           val cf = refinedCost(h, blocking, a, f)
-          cfg.trace(
-            f"  ext attr=${inst.attrs(a)}%-16s cand=${f.describe.take(40)}%-42s c=$cf%10.1f greedy=$cg%10.1f kept=${cf < cg}")
           if (cf < cg) { ext += ((h.assign(a, f), cf)); keptAny = true }
         }
         if (!keptAny) mapAttrs += a

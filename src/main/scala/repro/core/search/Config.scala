@@ -30,15 +30,6 @@ object InitStrategy {
   * @param theta       estimated fraction of target records exhibiting the
   *                    effect of the optimal function (§4.4.2)
   * @param confidence  ρ — confidence level for induction sampling
-  * @param maxSrcValuesPerExample cap on distinct in-block source values
-  *                    tried per sampled target example. The paper tries
-  *                    *every* source record of the block; this cap is a
-  *                    tractability guard for the gigantic blocks of early
-  *                    search states only. It must stay well above typical
-  *                    in-block distinct counts — a tight cap (e.g. 64)
-  *                    samples away the matching source value in large
-  *                    blocks, the correct function misses the significance
-  *                    threshold, and degenerate constants win instead
   * @param maxPolls    safety valve for the search loop
   * @param metas       meta-function registry defining F implicitly
   * @param seed        seed for all sampling (runs are reproducible)
@@ -49,20 +40,9 @@ final case class AffidavitConfig(
     queueWidth: Int = 5,
     theta: Double = 0.1,
     confidence: Double = 0.95,
-    maxSrcValuesPerExample: Int = 4096,
     maxPolls: Int = 100000,
     metas: List[MetaFunction] = MetaFunctions.default,
     seed: Long = 42L,
-    trace: String => Unit = _ => (),
-    /** Scale the record bound of the state cost by |A| (coherent with
-      * L(T+) = |A|·|T+| of Def. 3.10) instead of the paper's literal
-      * Def. 4.6. An A/B over the evaluation datasets (see DESIGN.md §3)
-      * shows the scaled variant strictly dominates at high noise — with the
-      * literal formula the trivial explanation (ct = |T|) under-prices
-      * unexplained records relative to function parameters and the search
-      * collapses on balance/nursery/breast/flight-1k at η = 0.7.
-      */
-    scaleRecordBound: Boolean = true,
 ) {
   require(alpha >= 0 && alpha <= 1, "alpha must be in [0,1]")
   require(beta >= 1 && queueWidth >= 1)

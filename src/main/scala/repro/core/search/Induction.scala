@@ -10,6 +10,16 @@ import repro.core.model.{AttrFunc, Dictionary, LocalInstance}
 /** Function-candidate induction and ranking (§4.4.2, §4.4.3). */
 object Induction {
 
+  /** Cap on distinct in-block source values tried per sampled target
+    * example. The paper tries *every* source record of the block; this cap
+    * is a tractability guard for the gigantic blocks of early search states
+    * only. It must stay well above typical in-block distinct counts — a
+    * tight cap (e.g. 64) samples away the matching source value in large
+    * blocks, the correct function misses the significance threshold, and
+    * degenerate constants win instead.
+    */
+  val MaxSrcValuesPerExample = 4096
+
   /** One search run's induction results: the verified candidates induced
     * from each (source code, target code) example of an attribute, as ids
     * into the attribute's table of distinct candidates (one per
@@ -82,8 +92,8 @@ object Induction {
           if (seenIn(c) != b + 1) { seenIn(c) = b + 1; seen += c }
         }
         val all = seen.result()
-        if (all.length > cfg.maxSrcValuesPerExample) Sampling.shuffle(all, rnd)
-        srcValues(b) = all.take(cfg.maxSrcValuesPerExample)
+        if (all.length > MaxSrcValuesPerExample) Sampling.shuffle(all, rnd)
+        srcValues(b) = all.take(MaxSrcValuesPerExample)
       }
       srcValues(b)
     }

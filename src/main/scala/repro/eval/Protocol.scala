@@ -28,26 +28,34 @@ object Protocol {
   val Hs = "Hs"
   val Hid = "Hid"
 
+  /** The search configuration and start strategy of `config`: `Hid`
+    * starts from the one-id-per-attribute state set; `Hs` computes its
+    * start state with the Spark overlap matcher, whose result is returned
+    * for diagnostics.
+    */
+  def setup(spark: SparkSession, problem: Problem, config: String)
+      : (AffidavitConfig, InitStrategy, Option[OverlapMatcher.OverlapResult]) = config match {
+    case Hid => (AffidavitConfig.hidConfig(problem.seed), InitStrategy.Id, None)
+    case Hs =>
+      val inst = problem.inst
+      val sDf = ProblemGen.toDf(spark, inst, inst.source)
+      val tDf = ProblemGen.toDf(spark, inst, inst.target)
+      val overlap = OverlapMatcher.compute(sDf, tDf, inst.attrs)
+      (AffidavitConfig.hsConfig(problem.seed), InitStrategy.Overlap(overlap.idAttrs), Some(overlap))
+    case other => sys.error(s"unknown config: $other")
+  }
+
   /** Run one configuration on one problem instance and judge the result.
-    *
-    * `Hs` computes its start state with the Spark overlap matcher (the
-    * timing includes that step, as in the paper); `Hid` starts from the
-    * one-id-per-attribute state set.
+    * The timing includes the `Hs` overlap step, as in the paper; the
+    * explanation is checked for validity (Def. 3.5) after the timer stops.
     */
   def evaluate(spark: SparkSession, problem: Problem, config: String): RunResult = {
-    val inst = problem.inst
     val t0 = System.nanoTime()
-    val (cfg, init) = config match {
-      case Hid => (AffidavitConfig.hidConfig(problem.seed), InitStrategy.Id)
-      case Hs =>
-        val sDf = ProblemGen.toDf(spark, inst, inst.source)
-        val tDf = ProblemGen.toDf(spark, inst, inst.target)
-        val overlap = OverlapMatcher.compute(sDf, tDf, inst.attrs)
-        (AffidavitConfig.hsConfig(problem.seed), InitStrategy.Overlap(overlap.idAttrs))
-      case other => sys.error(s"unknown config: $other")
-    }
-    val res = Affidavit.run(inst, cfg, init)
+    val (cfg, init, _) = setup(spark, problem, config)
+    val res = Affidavit.run(problem.inst, cfg, init)
     val seconds = (System.nanoTime() - t0) / 1e9
+    require(res.explanation.isValidFor(problem.inst),
+      s"invalid explanation: ${problem.dataset} η=${problem.eta} τ=${problem.tau} seed=${problem.seed} config=$config")
     judge(problem, res, seconds, config, cfg.alpha)
   }
 

@@ -19,11 +19,8 @@ import org.apache.spark.sql.functions._
   */
 object OverlapMatcher {
 
-  /** One a-priori best pair: source `__row`, target `__row`, full overlap. */
-  final case class BestPair(srcRow: Long, tgtRow: Long, score: Int)
-
-  /** Result: the chosen id-attribute indices (empty ⇒ fall back to H^∅)
-    * and the best pairs for diagnostics.
+  /** Result: the chosen id-attribute indices (empty ⇒ fall back to H^∅),
+    * and for diagnostics the modal score k′ and the number of best pairs.
     */
   final case class OverlapResult(idAttrs: Set[Int], modalScore: Int, pairs: Long)
 

@@ -2,33 +2,25 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Plumbing checks for the provided oracle + TPC-H-lite generators. */
+import repro.core.model.RunningExample
+import repro.gen.ProblemGen
+
+/** Plumbing checks for the DuckDB oracle on the paper's running example. */
 class OraclePlumbingSpec extends SparkSpec {
 
-  test("oracle agrees on a lineitem aggregate at SF=0.001") {
-    val li = SynthData.lineitem(spark, sf = 0.001).limit(2000).cache()
-    val q = li.groupBy("l_returnflag").agg(count(lit(1)).as("n"))
-    Oracle.assertEquivalent(
-      q,
-      "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
-    li.unpersist()
+  private val inst = RunningExample.instance
+  private lazy val sDf = ProblemGen.toDf(spark, inst, inst.source).select(inst.attrs.map(col): _*)
+  private val sql = "SELECT Org, Unit, count(*) AS n FROM s GROUP BY Org, Unit"
+
+  test("oracle agrees on a running-example aggregate") {
+    val q = sDf.groupBy("Org", "Unit").agg(count(lit(1)).as("n"))
+    Oracle.assertEquivalent(q, sql, "s" -> sDf)
   }
 
   test("oracle catches a wrong result") {
-    val li = SynthData.lineitem(spark, sf = 0.001).limit(500).cache()
-    val wrong = li.groupBy("l_returnflag").agg((count(lit(1)) + 1).as("n"))
+    val wrong = sDf.groupBy("Org", "Unit").agg((count(lit(1)) + 1).as("n"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        wrong,
-        "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, sql, "s" -> sDf)
     }
-    li.unpersist()
-  }
-
-  test("uniform and zipf key generators emit the requested row counts") {
-    assert(SynthData.uniformKeys(spark, 1000, 10).count() == 1000)
-    assert(SynthData.zipfKeys(spark, 1000, 10).count() == 1000)
   }
 }

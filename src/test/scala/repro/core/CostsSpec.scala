@@ -40,9 +40,6 @@ class CostsSpec extends AnyFunSuite {
     val e = Affidavit.toExplanation(inst, endState)
     assert(stateCost == Costs.explanationCost(inst, e, 0.5))
     assert(stateCost == 77.0)
-    // The paper's literal Def. 4.6 would count records unscaled: 56 + 3.
-    assert(Costs.stateCost(inst.d, endState.cf, blocking.ct, blocking.cs, inst.delta, 0.5,
-      scaleRecords = false) == 59.0)
   }
 
   test("state cost lower-bounds via cs − Δ when deletions dominate") {

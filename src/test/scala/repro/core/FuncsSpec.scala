@@ -3,7 +3,6 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.functions.Funcs._
-import repro.core.functions.MetaFunctions.{PrefixRemove, SuffixRemove}
 
 /** Behaviour and description lengths of every instantiable function. */
 class FuncsSpec extends AnyFunSuite {
@@ -63,9 +62,15 @@ class FuncsSpec extends AnyFunSuite {
     assert(PrefixReplace("9999123", "2018070")("20130416") == "20130416")
   }
   test("prefix replacement ψ = 2") { assert(PrefixReplace("a", "b").psi == 2) }
-  test("prefix removal") { assert(PrefixRemove("pre-")("pre-x") == "x" && PrefixRemove("p").psi == 2) }
+  test("prefix removal") {
+    val f = PrefixReplace("pre-", "")
+    assert(f("pre-x") == "x" && f("x-pre") == "x-pre" && f.psi == 2 && f.describe == "prefixReplace(pre-->)")
+  }
   test("suffix replacement") { assert(SuffixReplace("inc", "llc")("acme-inc") == "acme-llc") }
-  test("suffix removal") { assert(SuffixRemove("-x")("a-x") == "a") }
+  test("suffix removal") {
+    val f = SuffixReplace("-x", "")
+    assert(f("a-x") == "a" && f("-xa") == "-xa" && f.psi == 2 && f.describe == "suffixReplace(-x->)")
+  }
 
   test("value mapping applies listed entries") {
     val f = ValueMap(Map("0000" -> "0006", "0001" -> "0001"))

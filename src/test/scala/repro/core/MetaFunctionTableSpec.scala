@@ -99,7 +99,14 @@ class MetaFunctionTableSpec extends AnyFunSuite with PropHelpers {
     assert(PrefixReplaceMeta.induceVerified("abc", "xyz").isEmpty)
   }
   test("prefix removal is induced when the prefix vanishes") {
-    assert(PrefixReplaceMeta.induceVerified("pre-x", "x") == List(PrefixRemove("pre-")))
+    val induced = PrefixReplaceMeta.induceVerified("pre-x", "x")
+    assert(induced == List(PrefixReplace("pre-", "")))
+    assert(induced.map(_.describe) == List("prefixReplace(pre-->)"))
+  }
+  test("suffix removal is induced when the suffix vanishes") {
+    val induced = SuffixReplaceMeta.induceVerified("x-post", "x")
+    assert(induced == List(SuffixReplace("-post", "")))
+    assert(induced.map(_.describe) == List("suffixReplace(-post->)"))
   }
   test("suffix replacement is induced from a common prefix") {
     assert(

@@ -7,13 +7,13 @@ import repro.core.search.{Affidavit, AffidavitConfig, AffidavitResult, InitStrat
 import repro.gen.{Dataset, ProblemGen}
 
 /** Behaviour lock: the search must reproduce pinned explanations (cost,
-  * polls, states evaluated and every function's `describe`) on a small
-  * matrix of paper datasets. H^s cells use the id attributes stored in the
-  * resource, so no overlap job runs.
+  * polls, states evaluated, core size and every function's `describe`) on
+  * a small matrix of paper datasets. H^s cells use the id attributes stored
+  * in the resource, so no overlap job runs.
   *
   * Resource columns (tab-separated): dataset, η (= τ), config, seed,
   * id attributes (comma-separated, `-` for H^id), cost, polls, states,
-  * then one `describe` per attribute.
+  * core size, then one `describe` per attribute.
   */
 class GoldenExplanationsSpec extends SparkSpec {
 
@@ -26,7 +26,7 @@ class GoldenExplanationsSpec extends SparkSpec {
   private val datasets = scala.collection.mutable.Map.empty[String, Dataset]
 
   test("the golden matrix covers every pinned cell") {
-    assert(rows.size == 12)
+    assert(rows.size == 20)
   }
 
   for (row <- rows) {
@@ -55,6 +55,6 @@ object GoldenExplanationsSpec {
 
   /** The resource line of a cell: its key columns plus the result. */
   def line(key: Seq[String], res: AffidavitResult): String =
-    (key ++ Seq(res.cost.toString, res.polls.toString, res.statesEvaluated.toString) ++
+    (key ++ Seq[Any](res.cost, res.polls, res.statesEvaluated, res.explanation.coreSize).map(_.toString) ++
       res.explanation.funcs.map(_.describe)).mkString("\t")
 }

@@ -51,6 +51,22 @@ class ExplanationApplierSpec extends SparkSpec {
       "s" -> sDf.select(inst.attrs.map(col): _*))
   }
 
+  test("the plan does not grow with the number of deleted rows") {
+    def planLength(deleted: Vector[Int]): Int =
+      ExplanationApplier.coreImage(sDf, inst.attrs, RunningExample.e1.copy(deleted = deleted))
+        .queryExecution.analyzed.toString.length
+    val one = planLength(Vector(0))
+    val many = planLength((0 until 1000).toVector)
+    assert(math.abs(many - one) <= 64, s"plan length $one for 1 id, $many for 1000 ids")
+  }
+
+  test("funcUdf applies the same code path as the driver function") {
+    val f = repro.core.functions.Funcs.Div(BigDecimal(1000))
+    val out = sDf.select(ExplanationApplier.funcUdf(f)(col("Val")).as("v")).collect().map(_.getString(0))
+    val expected = inst.source.map(r => f(r(4)))
+    assert(out.sorted.toSeq == expected.sorted.toSeq)
+  }
+
   test("transform keeps non-attribute columns like __row") {
     val out = ExplanationApplier.transform(sDf, inst.attrs, RunningExample.e1.funcs)
     assert(out.columns.contains("__row"))
