@@ -64,6 +64,32 @@ object Table2 {
     }
   }
 
+  /** Machine-readable Table 2: one row per aggregate, by (dataset, config, η). */
+  def tsv(rows: Seq[AggRow]): String =
+    rows.sortBy(r => (r.dataset, r.config, r.eta)).map { r =>
+      f"${r.dataset}\t${r.eta}%.1f\t${r.tau}%.1f\t${r.config}\t${r.instances}\t${r.seconds}%.3f\t${r.dCore}%.3f\t${r.dCosts}%.3f\t${r.acc}%.3f\n"
+    }.mkString("dataset\teta\ttau\tconfig\tinstances\tt\tdCore\tdCosts\tacc\n", "", "")
+
+  /** Sanity and shape checks of a Table-2 run; empty when all hold. A
+    * silently broken search must fail the run, not just produce bad
+    * numbers: H^id accuracy at η = τ = 0.3 must stay ≥ 0.6 on every
+    * dataset, and where the paper reports H^s collapse (chess, letter,
+    * nursery) H^id must beat H^s in accuracy averaged over the settings.
+    */
+  def violations(rows: Seq[AggRow]): Seq[String] = {
+    def accs(ds: String, config: String) =
+      rows.filter(r => r.dataset == ds && r.config == config).map(_.acc)
+    val floor = rows.sortBy(_.dataset)
+      .filter(r => r.config == Protocol.Hid && r.eta == 0.3 && r.acc < 0.6)
+      .map(r => f"H^id accuracy collapsed on ${r.dataset} (η=0.3): ${r.acc}%.2f")
+    val shape = for {
+      ds <- Seq("chess", "letter", "nursery")
+      (hid, hs) = (accs(ds, Protocol.Hid), accs(ds, Protocol.Hs))
+      if hid.nonEmpty && hs.nonEmpty && !(avg(hid) > avg(hs))
+    } yield f"$ds: expected H^id (${avg(hid)}%.2f) > H^s (${avg(hs)}%.2f)"
+    floor ++ shape
+  }
+
   /** Render measured rows next to the published numbers. */
   def report(rows: Seq[AggRow]): String = {
     val sb = new StringBuilder

@@ -8,8 +8,8 @@ import org.apache.spark.sql.functions._
   *
   * This is what commercial tools (SQL Data Compare etc.) do; it is correct
   * when the key is immutable and silently wrong when keys are reassigned —
-  * the failure mode that motivates the paper. The bench uses it as a
-  * baseline to quantify exactly that failure on generated instances.
+  * the failure mode that motivates the paper. `SnapshotDiffSpec` uses it as
+  * a baseline to quantify exactly that failure on generated instances.
   */
 object SnapshotDiff {
 
@@ -37,7 +37,8 @@ object SnapshotDiff {
 
   /** Fraction of key-matched pairs that are correct under a ground-truth
     * alignment given as (source `__row`, target `__row`) pairs — used to
-    * quantify the baseline's failure under key reassignment.
+    * quantify the baseline's failure under key reassignment. Records pair
+    * as in `diff`: equal on every key column, so a null key pairs with none.
     */
   def keyAlignmentAccuracy(
       s: DataFrame,
@@ -46,10 +47,8 @@ object SnapshotDiff {
       truth: Set[(Long, Long)],
   ): Double = {
     val pairs = s
-      .select(col("__row").as("srow"), concat_ws("", keyCols.map(col): _*).as("k"))
-      .join(
-        t.select(col("__row").as("trow"), concat_ws("", keyCols.map(col): _*).as("k")),
-        "k")
+      .select(col("__row").as("srow") +: keyCols.map(col): _*)
+      .join(t.select(col("__row").as("trow") +: keyCols.map(col): _*), keyCols)
       .select("srow", "trow")
       .collect()
       .map(r => (r.getLong(0), r.getLong(1)))

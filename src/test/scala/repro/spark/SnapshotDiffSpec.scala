@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
+import repro.eval.Protocol
 import repro.gen.ProblemGen
 
 class SnapshotDiffSpec extends SparkSpec {
@@ -64,19 +65,39 @@ class SnapshotDiffSpec extends SparkSpec {
   }
 
   test("the keyed baseline mis-aligns everything under key reassignment") {
-    // The motivating failure: pk permuted between snapshots.
-    val iris = ProblemGen.collectDataset(spark, "iris")
-    val p = ProblemGen.generate(iris, 0.3, 0.3, seed = 21)
-    val sDf = ProblemGen.toDf(spark, p.inst, p.inst.source)
-    val tDf = ProblemGen.toDf(spark, p.inst, p.inst.target)
-    val truth = p.reference.alignment.map { case (a, b) => (a.toLong, b.toLong) }.toSet
-    val acc = SnapshotDiff.keyAlignmentAccuracy(sDf, tDf, Seq("pk"), truth)
-    assert(acc < 0.1, s"keyed accuracy $acc")
+    // The motivating failure: pk permuted between snapshots. Affidavit
+    // ignores the broken key and recovers the alignment.
+    for ((name, seed, bound) <- Seq(("iris", 21L, 0.1), ("bridges", 31L, 0.2), ("breast", 31L, 0.2))) {
+      val p = ProblemGen.generate(ProblemGen.collectDataset(spark, name), 0.3, 0.3, seed)
+      val sDf = ProblemGen.toDf(spark, p.inst, p.inst.source)
+      val tDf = ProblemGen.toDf(spark, p.inst, p.inst.target)
+      val truth = p.reference.alignment.map { case (a, b) => (a.toLong, b.toLong) }.toSet
+      val acc = SnapshotDiff.keyAlignmentAccuracy(sDf, tDf, Seq("pk"), truth)
+      assert(acc < bound, s"$name: keyed accuracy $acc")
+      val affidavit = Protocol.evaluate(spark, p, Protocol.Hid).acc
+      assert(affidavit > acc, s"$name: Affidavit accuracy $affidavit vs keyed $acc")
+    }
   }
 
   test("the keyed baseline is perfect when keys are stable") {
     val acc = SnapshotDiff.keyAlignmentAccuracy(
       s, s, Seq("id"), Set((0L, 0L), (1L, 1L), (2L, 2L)))
     assert(acc == 1.0)
+    // A self-diff of a generated instance (τ = 0: values unchanged) is empty.
+    val p = ProblemGen.generate(ProblemGen.collectDataset(spark, "iris"), 0.3, 0.0, seed = 32)
+    val sDf = ProblemGen.toDf(spark, p.inst, p.inst.source)
+    val rep = SnapshotDiff.diff(sDf, sDf, Seq("pk"))
+    assert(rep.deleted.count() == 0 && rep.inserted.count() == 0 && rep.updated.count() == 0)
+  }
+
+  test("the keyed baseline pairs records on the key columns, not on a concatenation") {
+    val key = Seq("a", "b")
+    val s2 = df(Seq(("s0", "1", "23"), ("s1", "x", "y")))
+    val t2 = df(Seq(("t0", "12", "3"), ("t1", "x", "y")))
+    assert(SnapshotDiff.keyAlignmentAccuracy(s2, t2, key, Set((1L, 1L))) == 1.0)
+    // A null key pairs with nothing, and no separator char joins two values.
+    val s3 = df(Seq(("s0", null, "z"), ("s1", "x", "y"), ("s2", "p\u0001q", "r")))
+    val t3 = df(Seq(("t0", "z", null), ("t1", "x", "y"), ("t2", "p", "q\u0001r")))
+    assert(SnapshotDiff.keyAlignmentAccuracy(s3, t3, key, Set((1L, 1L))) == 1.0)
   }
 }
